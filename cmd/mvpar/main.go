@@ -196,10 +196,7 @@ commands:
                                GET /v1/models, /healthz, /readyz, /metrics,
                                /debug/traces; -trace-slow, -pprof,
                                -cpuprofile/-memprofile for telemetry);
-                               -models serves extra named models, -shards
-                               splits the cache/queue into consistent-hash
-                               shards, -min-replicas/-max-replicas enable
-                               replica autoscaling between those bounds;
+                               -models serves extra named models;
                                -precision float32 serves the
                                quantized fast path, int8 the integer tier;
                                see mvpar serve -h, docs/serving.md,
@@ -450,12 +447,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
 	drainGrace := fs.Duration("drain-grace", 0, "keep serving this long after SIGTERM while /readyz reports\n503 draining, so load balancers stop routing before the listener\ncloses (e.g. 2s)")
 	replicas := fs.Int("replicas", 4, "circuit-breaking model replica domains per generation")
-	shards := fs.Int("shards", 1, "independent admission shards (cache + queue) requests are\nconsistent-hashed over; 1 keeps the classic single-queue server")
-	minReplicas := fs.Int("min-replicas", 1, "autoscaler floor: replicas taking traffic when idle (used only\nwith -max-replicas > 0)")
-	maxReplicas := fs.Int("max-replicas", 0, "autoscaler ceiling: pre-allocated replica slots the scaler can\nwiden the traffic window to (0 disables autoscaling; all\n-replicas slots then always take traffic)")
-	autoscaleInterval := fs.Duration("autoscale-interval", 500*time.Millisecond, "autoscaler evaluation cadence")
-	autoscaleCooldown := fs.Duration("autoscale-cooldown", 2*time.Second, "minimum spacing between scale events")
-	autoscaleP99 := fs.Duration("autoscale-p99", 0, "scale up when the interval-local classify p99 crosses this\n(0 = scale on queue depth only)")
 	models := fs.String("models", "", "extra registry models, comma-separated name=path[@precision]\nentries: a path loads that checkpoint (hot-reloadable per model\nvia POST /v1/models/reload?model=NAME), an empty path shares the\ndefault model's weights at the given precision, e.g.\n\"fast=@int8,retrained=ckpt.bin,r8=ckpt.bin@int8\"")
 	maxRetries := fs.Int("max-retries", 2, "replicas a request is retried on after a replica fault (-1 disables)")
 	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive replica faults that trip a replica's circuit breaker")
@@ -536,14 +527,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "serve: trained, test acc %.1f%%\n", 100*report.TestAcc)
 	}
-	// Replica slot count: with autoscaling the generation pre-allocates
-	// the ceiling (slots share weights, so slots are cheap) and traffic
-	// starts at -min-replicas.
-	slots := *replicas
-	if *maxReplicas > slots {
-		slots = *maxReplicas
-	}
-	snap, err := snapshotFromPipeline(pl, slots, prec)
+	snap, err := snapshotFromPipeline(pl, *replicas, prec)
 	if err != nil {
 		return err
 	}
@@ -566,42 +550,36 @@ func cmdServe(ctx context.Context, args []string) error {
 			if _, err := pl.ReloadModel(bytes.NewReader(data)); err != nil {
 				return serve.Snapshot{}, err
 			}
-			return snapshotFromPipeline(pl, slots, prec)
+			return snapshotFromPipeline(pl, *replicas, prec)
 		}
 	}
 	specs := []serve.ModelSpec{{Name: serve.DefaultModel, Snapshot: snap, Loader: loader}}
 	if *models != "" {
-		extra, err := modelSpecsFromFlag(pl, *models, *quick, slots)
+		extra, err := modelSpecsFromFlag(pl, *models, *quick, *replicas)
 		if err != nil {
 			return err
 		}
 		specs = append(specs, extra...)
 	}
 	srv, err := serve.NewMulti(specs, serve.Config{
-		Addr:              *addr,
-		MaxBatch:          *maxBatch,
-		BatchWindow:       *batchWindow,
-		MaxQueue:          *maxQueue,
-		Workers:           *workers,
-		RequestTimeout:    *reqTimeout,
-		CacheSize:         *cacheSize,
-		DrainTimeout:      *drainTimeout,
-		DrainGrace:        *drainGrace,
-		Replicas:          *replicas,
-		Shards:            *shards,
-		MinReplicas:       *minReplicas,
-		MaxReplicas:       *maxReplicas,
-		AutoscaleInterval: *autoscaleInterval,
-		AutoscaleCooldown: *autoscaleCooldown,
-		AutoscaleP99:      *autoscaleP99,
-		MaxRetries:        *maxRetries,
-		BreakerThreshold:  *breakerThreshold,
-		BreakerBackoff:    *breakerBackoff,
-		DegradeHeadroom:   *degradeHeadroom,
-		Version:           buildVersion,
-		TraceSlow:         *traceSlow,
-		TraceRing:         *traceRing,
-		EnablePprof:       *enablePprof,
+		Addr:             *addr,
+		MaxBatch:         *maxBatch,
+		BatchWindow:      *batchWindow,
+		MaxQueue:         *maxQueue,
+		Workers:          *workers,
+		RequestTimeout:   *reqTimeout,
+		CacheSize:        *cacheSize,
+		DrainTimeout:     *drainTimeout,
+		DrainGrace:       *drainGrace,
+		Replicas:         *replicas,
+		MaxRetries:       *maxRetries,
+		BreakerThreshold: *breakerThreshold,
+		BreakerBackoff:   *breakerBackoff,
+		DegradeHeadroom:  *degradeHeadroom,
+		Version:          buildVersion,
+		TraceSlow:        *traceSlow,
+		TraceRing:        *traceRing,
+		EnablePprof:      *enablePprof,
 	})
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -887,7 +865,7 @@ func snapshotFromPipeline(pl *core.Pipeline, n int, precision string) (serve.Sna
 // handles off base itself at the requested precision, sharing its
 // weights (no loader: reloading shared weights independently would be a
 // lie, so POST /v1/models/reload?model=NAME answers 501 for those).
-func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool, slots int) ([]serve.ModelSpec, error) {
+func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool, replicas int) ([]serve.ModelSpec, error) {
 	var specs []serve.ModelSpec
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
@@ -908,7 +886,7 @@ func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool, slots int)
 			return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
 		}
 		if path == "" {
-			snap, err := snapshotFromPipeline(base, slots, prec)
+			snap, err := snapshotFromPipeline(base, replicas, prec)
 			if err != nil {
 				return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
 			}
@@ -928,7 +906,7 @@ func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool, slots int)
 		if err != nil {
 			return nil, fmt.Errorf("serve: -models entry %q: loading %s: %w", entry, path, err)
 		}
-		snap, err := snapshotFromPipeline(vp, slots, prec)
+		snap, err := snapshotFromPipeline(vp, replicas, prec)
 		if err != nil {
 			return nil, fmt.Errorf("serve: -models entry %q: %w", entry, err)
 		}
@@ -946,7 +924,7 @@ func modelSpecsFromFlag(base *core.Pipeline, spec string, quick bool, slots int)
 				if _, err := variant.ReloadModel(bytes.NewReader(data)); err != nil {
 					return serve.Snapshot{}, err
 				}
-				return snapshotFromPipeline(variant, slots, variantPrec)
+				return snapshotFromPipeline(variant, replicas, variantPrec)
 			},
 		})
 	}

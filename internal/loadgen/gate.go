@@ -8,7 +8,7 @@ import (
 
 // GateConfig tolerances for the loadgate comparison. Load numbers are
 // far noisier than allocation counts, so the defaults are generous —
-// the gate catches collapses (a lock added to the hot path, sharding
+// the gate catches collapses (a lock added to the hot path, batching
 // broken), not single-digit-percent jitter.
 type GateConfig struct {
 	// MaxRPSDrop fails when current RPS falls below baseline by more

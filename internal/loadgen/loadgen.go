@@ -57,8 +57,8 @@ type Config struct {
 	// Duration is the measured window; default 10s.
 	Duration time.Duration
 	// Warmup runs traffic without recording before the measured window,
-	// so cache fills, JIT-like lazy state and autoscaler reactions do
-	// not pollute the numbers; default 2s.
+	// so cache fills and JIT-like lazy state do not pollute the numbers;
+	// default 2s.
 	Warmup time.Duration
 	// Timeout bounds each request; default 30s.
 	Timeout time.Duration

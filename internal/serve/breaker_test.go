@@ -128,7 +128,7 @@ func TestBreakerFailedProbeDoublesBackoff(t *testing.T) {
 func TestGenerationAcquireSkipsOpenBreakers(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	bcfg := breakerConfig{threshold: 1, backoff: time.Hour, maxBackoff: time.Hour, now: clk.now}
-	gen := newGeneration(7, "default", snapshotOf(&stubInference{}, 3), bcfg, 0)
+	gen := newGeneration(7, "default", snapshotOf(&stubInference{}, 3), bcfg)
 
 	if gen.healthy() != 3 {
 		t.Fatalf("healthy = %d, want 3", gen.healthy())

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -67,14 +68,11 @@ void main() { for (int i = 0; i < 8; i++) { s += a[i]; } }
 `,
 }
 
-// TestServerConcurrentBitIdentical is the issue's acceptance test: under
-// concurrent batched load, every server response must be bit-identical
-// to the serial Pipeline.ClassifySource result for the same program —
-// same loops, same probabilities, bit for bit.
-func TestServerConcurrentBitIdentical(t *testing.T) {
-	pl := e2eTrained(t)
-
-	// Serial ground truth first, through the plain pipeline path.
+// e2eSerial computes the serial ground truth for e2eSources through the
+// plain Pipeline.ClassifySource path, stamped with the server's initial
+// generation.
+func e2eSerial(t *testing.T, pl *core.Pipeline) map[string]ClassifyResponse {
+	t.Helper()
 	serial := map[string]ClassifyResponse{}
 	for name, src := range e2eSources {
 		preds, err := pl.ClassifySource(name, src)
@@ -88,19 +86,16 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 		resp.Generation = 1 // the server's initial generation
 		serial[name] = resp
 	}
+	return serial
+}
 
-	cls, err := pl.Classifier()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cache disabled so every request exercises the full pipeline; small
-	// batch window so batches actually form under the burst.
-	s := New(cls, Config{
-		MaxBatch:    4,
-		BatchWindow: 5 * time.Millisecond,
-		MaxQueue:    64,
-		CacheSize:   -1,
-	})
+// burstBitIdentical serves cls under cfg, fires a concurrent burst over
+// e2eSources and requires every response to match serial bit for bit;
+// Cached is the only field a cache hit may change. With the cache on it
+// then replays every program and requires a hit carrying the same bits.
+func burstBitIdentical(t *testing.T, cls Inference, serial map[string]ClassifyResponse, cfg Config) {
+	t.Helper()
+	s := New(cls, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer func() {
@@ -110,6 +105,21 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 	}()
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatalf("warmup: %v", err)
+	}
+	check := func(name string, code int, resp ClassifyResponse) {
+		t.Helper()
+		if code != 200 {
+			t.Fatalf("request %s = %d, want 200", name, code)
+		}
+		if resp.Cached && s.cache == nil {
+			t.Fatalf("request %s answered from a disabled cache", name)
+		}
+		want := serial[name]
+		want.Cached = resp.Cached
+		if !reflect.DeepEqual(resp, want) {
+			t.Fatalf("response for %s diverged from serial ClassifySource:\n got %+v\nwant %+v",
+				name, resp, want)
+		}
 	}
 
 	batchesBefore := obs.GetCounter("mvpar_http_batches_total").Value()
@@ -137,19 +147,83 @@ func TestServerConcurrentBitIdentical(t *testing.T) {
 	n := 0
 	for got := range replies {
 		n++
-		if got.code != 200 {
-			t.Fatalf("concurrent request %s = %d, want 200", got.name, got.code)
-		}
-		if !reflect.DeepEqual(got.resp, serial[got.name]) {
-			t.Fatalf("concurrent response for %s diverged from serial ClassifySource:\n got %+v\nwant %+v",
-				got.name, got.resp, serial[got.name])
-		}
+		check(got.name, got.code, got.resp)
 	}
 	if n != rounds*len(e2eSources) {
 		t.Fatalf("got %d replies, want %d", n, rounds*len(e2eSources))
 	}
 	if obs.GetCounter("mvpar_http_batches_total").Value() == batchesBefore {
 		t.Fatal("no batches were dispatched under the burst")
+	}
+	if s.cache == nil {
+		return
+	}
+	// After the burst every program is cached: a repeat must be a hit
+	// carrying the same bits the concurrent misses computed.
+	for name, src := range e2eSources {
+		code, resp := tryClassify(ts.URL, name, src)
+		if !resp.Cached {
+			t.Fatalf("repeat of %s after the burst was not a cache hit", name)
+		}
+		check(name, code, resp)
+	}
+}
+
+// TestServerConcurrentBitIdentical is the issue's acceptance test: under
+// concurrent batched load, every server response must be bit-identical
+// to the serial Pipeline.ClassifySource result for the same program —
+// same loops, same probabilities, bit for bit. It runs with the cache
+// off (every request exercises the full pipeline) and with the default
+// LRU, where concurrent misses fill the cache while others read it; a
+// cache-on response may differ from the serial one only in Cached.
+func TestServerConcurrentBitIdentical(t *testing.T) {
+	pl := e2eTrained(t)
+	serial := e2eSerial(t, pl)
+	cls, err := pl.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		cacheSize int
+	}{
+		{"cache-off", -1},
+		{"default-lru", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Small batch window so batches actually form under the burst.
+			burstBitIdentical(t, cls, serial, Config{
+				MaxBatch:    4,
+				BatchWindow: 5 * time.Millisecond,
+				MaxQueue:    64,
+				CacheSize:   tc.cacheSize,
+			})
+		})
+	}
+}
+
+// TestReplicaWidthBitIdentical checks that the number of replicas a
+// generation fans batches over never touches the numbers: with the cache
+// off, a concurrent burst served by one, two or three replicas must stay
+// bit-identical to the serial ClassifySource result. Run under -race
+// this also pins the replica selection and breaker bookkeeping.
+func TestReplicaWidthBitIdentical(t *testing.T) {
+	pl := e2eTrained(t)
+	serial := e2eSerial(t, pl)
+	cls, err := pl.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, replicas := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("replicas-%d", replicas), func(t *testing.T) {
+			burstBitIdentical(t, cls, serial, Config{
+				MaxBatch:    4,
+				BatchWindow: 2 * time.Millisecond,
+				MaxQueue:    64,
+				CacheSize:   -1,
+				Replicas:    replicas,
+			})
+		})
 	}
 }
 

@@ -89,17 +89,16 @@ func TestServeMetricsExpositionConformance(t *testing.T) {
 	}
 }
 
-// TestShardedMetricsExposition pins the sharded/autoscaled families: a
-// multi-shard autoscaled server must expose per-shard queue-depth
-// gauges, the autoscale families, and one mvpar_model_info_<model> info
-// gauge per registry entry — all conformant.
-func TestShardedMetricsExposition(t *testing.T) {
+// TestMultiModelMetricsExposition pins the registry's metric families: a
+// multi-model server must expose one mvpar_model_info_<model> info gauge
+// per registry entry, all conformant.
+func TestMultiModelMetricsExposition(t *testing.T) {
 	def := &stubInference{}
 	alt := &stubInference{}
 	s, err := NewMulti([]ModelSpec{
 		{Name: DefaultModel, Snapshot: snapshotOf(def, 2)},
 		{Name: "alt.v2", Snapshot: snapshotOf(alt, 2)},
-	}, Config{Shards: 2, MinReplicas: 1, MaxReplicas: 2, AutoscaleInterval: time.Hour})
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +110,6 @@ func TestShardedMetricsExposition(t *testing.T) {
 	if err := s.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	obs.GetCounter("mvpar_autoscale_up_total").Add(0)
-	obs.GetCounter("mvpar_autoscale_down_total").Add(0)
 
 	var b strings.Builder
 	if err := obs.Default().WritePrometheus(&b); err != nil {
@@ -120,14 +117,9 @@ func TestShardedMetricsExposition(t *testing.T) {
 	}
 	out := b.String()
 	if err := obs.CheckExposition(strings.NewReader(out)); err != nil {
-		t.Fatalf("sharded exposition fails conformance: %v\n%s", err, out)
+		t.Fatalf("multi-model exposition fails conformance: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"# TYPE mvpar_shard_queue_depth_0 gauge",
-		"# TYPE mvpar_shard_queue_depth_1 gauge",
-		"# TYPE mvpar_autoscale_replicas gauge",
-		"# TYPE mvpar_autoscale_up_total counter",
-		"# TYPE mvpar_autoscale_down_total counter",
 		"# TYPE mvpar_model_info_default gauge",
 		`mvpar_model_info_default{`,
 		// Dots in a model name are sanitized for the metric name but kept
@@ -137,7 +129,7 @@ func TestShardedMetricsExposition(t *testing.T) {
 		`fingerprint="`,
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("sharded exposition missing %q", want)
+			t.Errorf("multi-model exposition missing %q", want)
 		}
 	}
 }

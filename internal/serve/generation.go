@@ -25,9 +25,9 @@ type Fingerprinter interface {
 }
 
 // Precisioner is the optional precision surface of an Inference: which
-// inference engine ("float64" or "float32") answers its predictions.
-// *core.Classifier implements it; implementations without it are
-// reported as float64 (the bit-identity default).
+// inference engine ("float64", "float32" or "int8") answers its
+// predictions. *core.Classifier implements it; implementations without
+// it are reported as float64 (the bit-identity default).
 type Precisioner interface {
 	Precision() string
 }
@@ -85,11 +85,6 @@ type generation struct {
 	prec  string // inference precision tier of the replicas
 	reps  []*replica
 
-	// active bounds how many replica slots acquire considers
-	// (1..len(reps)): the autoscaler raises and lowers it between the
-	// configured min and max. Slots past it exist but take no traffic.
-	active atomic.Int64
-
 	// inflight counts requests pinned to this generation (admitted but
 	// not yet answered). The swap path waits on it to declare the
 	// generation drained.
@@ -98,7 +93,7 @@ type generation struct {
 	rr atomic.Uint64
 }
 
-func newGeneration(id uint64, modelName string, snap Snapshot, bcfg breakerConfig, active int) *generation {
+func newGeneration(id uint64, modelName string, snap Snapshot, bcfg breakerConfig) *generation {
 	g := &generation{id: id, model: modelName, fp: snap.Fingerprint, prec: "float64"}
 	for i, inf := range snap.Replicas {
 		g.reps = append(g.reps, &replica{id: i, inf: inf, br: newBreaker(bcfg, i)})
@@ -108,10 +103,6 @@ func newGeneration(id uint64, modelName string, snap Snapshot, bcfg breakerConfi
 			g.prec = p.Precision()
 		}
 	}
-	if active <= 0 || active > len(g.reps) {
-		active = len(g.reps)
-	}
-	g.active.Store(int64(active))
 	return g
 }
 
@@ -123,33 +114,12 @@ func (g *generation) key() string {
 	return fmt.Sprintf("m:%s|g%d:%s", g.model, g.id, g.fp)
 }
 
-// activeN is the current count of replica slots taking traffic.
-func (g *generation) activeN() int {
-	return int(g.active.Load())
-}
-
-// setActive resizes the traffic-taking replica window, clamped to
-// [1, len(reps)], and returns the applied value.
-func (g *generation) setActive(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(g.reps) {
-		n = len(g.reps)
-	}
-	g.active.Store(int64(n))
-	return n
-}
-
-// acquire picks the next active replica whose breaker admits a request,
+// acquire picks the next replica whose breaker admits a request,
 // scanning round-robin from a shared cursor. It reports false when every
 // breaker refuses — the all-unhealthy state the degradation ladder
 // handles.
 func (g *generation) acquire() (*replica, bool) {
-	n := g.activeN()
-	if n <= 0 || n > len(g.reps) {
-		n = len(g.reps)
-	}
+	n := len(g.reps)
 	start := g.rr.Add(1)
 	for i := 0; i < n; i++ {
 		rep := g.reps[(start+uint64(i))%uint64(n)]
@@ -160,13 +130,10 @@ func (g *generation) acquire() (*replica, bool) {
 	return nil, false
 }
 
-// healthy counts active replicas whose breaker is not open.
+// healthy counts replicas whose breaker is not open.
 func (g *generation) healthy() int {
 	n := 0
-	for i, rep := range g.reps {
-		if i >= g.activeN() {
-			break
-		}
+	for _, rep := range g.reps {
 		if rep.br.currentState() != breakerOpen {
 			n++
 		}

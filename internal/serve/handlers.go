@@ -63,7 +63,8 @@ type ClassifyResponse struct {
 	// re-running the pipeline.
 	Cached bool `json:"cached"`
 	// Precision names the inference engine that answered: "float64" (the
-	// bit-identity reference) or "float32" (the quantized fast path).
+	// bit-identity reference), "float32" (the quantized fast path) or
+	// "int8" (the integer tier).
 	Precision string `json:"precision"`
 	// TraceID and Timings are set only when the request asked for a
 	// timings breakdown (ClassifyRequest.Timings) and the pipeline ran:
@@ -177,16 +178,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// result.
 	gen := m.admit()
 	// Per-precision request accounting: which inference tier is about to
-	// answer (float64 reference or float32 fast path).
+	// answer (float64 reference, float32 fast path or int8 integer tier).
 	obs.GetCounter("mvpar_classify_requests_" + gen.prec + "_total").Inc()
-	// Consistent-hash the submission to its admission shard. The hash is
-	// generation-scoped like the cache key, so one submission's repeat
-	// traffic lands on one shard's cache.
-	shard := s.shardFor(requestHash(gen.key(), req.Name, req.Source))
 	var key string
-	if shard.cache != nil {
+	if s.cache != nil {
 		key = cacheKey(gen.key(), req.Name, req.Source)
-		if preds, ok := shard.cache.get(key); ok {
+		if preds, ok := s.cache.get(key); ok {
 			gen.inflight.Done()
 			obs.GetCounter("mvpar_http_cache_hits_total").Inc()
 			resp := toResponse(req.Name, preds, true)
@@ -214,16 +211,15 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	bctx, bspan := trace.StartSpan(ctx, "batcher")
 	breq := &batchRequest{
-		ctx:   bctx,
-		name:  req.Name,
-		src:   req.Source,
-		key:   key,
-		shard: shard,
-		gen:   gen,
-		done:  make(chan batchResult, 1),
-		span:  bspan,
+		ctx:  bctx,
+		name: req.Name,
+		src:  req.Source,
+		key:  key,
+		gen:  gen,
+		done: make(chan batchResult, 1),
+		span: bspan,
 	}
-	if err := shard.bat.submit(breq); err != nil {
+	if err := s.bat.submit(breq); err != nil {
 		gen.inflight.Done()
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -348,9 +344,9 @@ type ModelStatus struct {
 	Generation  uint64 `json:"generation"`
 	Fingerprint string `json:"fingerprint,omitempty"`
 	Precision   string `json:"precision"`
-	// Replicas is the pre-allocated slot count; ActiveReplicas how many
-	// take traffic right now (the autoscaler's window); HealthyReplicas
-	// how many of those have a non-open breaker.
+	// Replicas is the replica count; ActiveReplicas how many take traffic
+	// (always every replica; kept for wire compatibility); HealthyReplicas
+	// how many have a non-open breaker.
 	Replicas        int `json:"replicas"`
 	ActiveReplicas  int `json:"active_replicas"`
 	HealthyReplicas int `json:"healthy_replicas"`
@@ -371,7 +367,7 @@ func (s *Server) modelStatuses() []ModelStatus {
 			Fingerprint:     gen.fp,
 			Precision:       gen.prec,
 			Replicas:        len(gen.reps),
-			ActiveReplicas:  gen.activeN(),
+			ActiveReplicas:  len(gen.reps),
 			HealthyReplicas: gen.healthy(),
 			Reloadable:      m.loader != nil,
 		})
@@ -411,9 +407,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // until the warm-up classification passes, "draining" (503) once
 // Shutdown begins — the signal load balancers key on during the drain
 // grace window — "degraded" (200: still routable, the degradation
-// ladder answers) while any model has every active-replica breaker
-// open, and "ready" (200) otherwise. The top-level generation and
-// replica counts are the default model's.
+// ladder answers) while any model has every replica breaker open, and
+// "ready" (200) otherwise. The top-level generation and replica counts
+// are the default model's.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	gen := s.defaultModel().gen.Load()
 	healthy := gen.healthy()

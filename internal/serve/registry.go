@@ -31,7 +31,7 @@ type ModelSpec struct {
 }
 
 // model is one registry entry: a named generation chain with its own
-// swap/drain lifecycle, loader and autoscaling state.
+// swap/drain lifecycle and loader.
 type model struct {
 	name string
 	// metric is the name sanitized into a Prometheus-safe suffix for the
@@ -44,15 +44,10 @@ type model struct {
 	gen      atomic.Pointer[generation]
 	genSeq   atomic.Uint64
 	reloadMu sync.Mutex
-
-	// desiredActive is the replica count the autoscaler currently wants;
-	// a hot swap starts the new generation at this value so a reload
-	// never resets a scaled-up model to its minimum.
-	desiredActive atomic.Int64
 }
 
 // registry is the immutable-after-construction set of served models.
-// (Model state mutates — generations swap, replicas scale — but the
+// (Model state mutates — generations swap — but the
 // name set is fixed at construction, which is what lets lookups run
 // lock-free on a plain map.)
 type registry struct {

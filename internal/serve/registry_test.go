@@ -160,6 +160,9 @@ func TestModelsEndpointAndHealthz(t *testing.T) {
 		if m.Generation != 1 || m.Replicas != 2 || m.HealthyReplicas != 2 {
 			t.Fatalf("model %q status = %+v, want generation 1 with 2 healthy replicas", m.Name, m)
 		}
+		if m.ActiveReplicas != m.Replicas {
+			t.Fatalf("model %q active_replicas = %d, want every replica (%d)", m.Name, m.ActiveReplicas, m.Replicas)
+		}
 		if m.Reloadable {
 			t.Fatalf("model %q claims a loader it does not have", m.Name)
 		}

@@ -344,12 +344,11 @@ func TestServerCacheRungServesWhenReplicasFault(t *testing.T) {
 		t.Fatal("breakers not open")
 	}
 	r := &batchRequest{
-		ctx:   context.Background(),
-		name:  "p",
-		src:   stubSource,
-		key:   cacheKey(gen.key(), "p", stubSource),
-		shard: s.shards[0],
-		gen:   gen,
+		ctx:  context.Background(),
+		name: "p",
+		src:  stubSource,
+		key:  cacheKey(gen.key(), "p", stubSource),
+		gen:  gen,
 	}
 	res := s.classify(r)
 	if res.err != nil || len(res.preds) == 0 || res.gen != 1 {
@@ -374,7 +373,7 @@ func TestServerCacheRungServesWhenReplicasFault(t *testing.T) {
 func TestBatcherQueueFullDuringDrain(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	b := newBatcher(1, -1, 2, 1, "", func(r *batchRequest) {
+	b := newBatcher(1, -1, 2, 1, func(r *batchRequest) {
 		select {
 		case started <- struct{}{}:
 		default:

@@ -3,25 +3,17 @@
 // so downstream consumers — editors, CI gates, build systems — classify
 // loops without paying model-load and encoder-build costs per request.
 //
-// The request path is a sharded micro-batching admission pipeline over a
-// registry of named models:
+// The request path is a single-queue micro-batching admission pipeline
+// over a registry of named models:
 //
 //	POST /v1/classify?model=<name> → registry lookup → generation pin
-//	  → consistent-hash shard (fingerprint-aware request hash)
-//	  → per-shard LRU cache (generation-keyed)
-//	  → per-shard bounded queue (429 past the queue budget)
+//	  → LRU cache (generation-keyed)
+//	  → bounded queue (429 past MaxQueue)
 //	  → batcher (coalesce ≤ MaxBatch within BatchWindow)
 //	  → circuit-breaking replica routing (retry around faults)
 //	  → per-request context deadline into the interpreter's stride check
 //	  → degradation ladder (cache-only → node-view-only) when replicas
 //	    are unhealthy or the deadline is nearly spent
-//
-// Sharding (Config.Shards) splits the cache and admission queue into
-// independent lock + channel domains so no single mutex is the
-// rendezvous point for every request at high concurrency; replica
-// autoscaling (Config.MinReplicas/MaxReplicas) moves each model's
-// traffic-taking replica window with queue depth and interval p99,
-// with hysteresis and a cooldown.
 //
 // plus /healthz (liveness + generation identity), /readyz (warm, not
 // draining; reports "degraded" while the ladder is active), /metrics
@@ -112,30 +104,6 @@ type Config struct {
 	// single Inference the domains share it; a Loader may supply
 	// genuinely distinct handles.
 	Replicas int
-	// Shards is how many independent admission domains (cache + bounded
-	// queue, each with its own lock and dispatcher) requests are
-	// consistent-hashed over; default 1 (the classic single-queue
-	// server). The queue and cache budgets are split evenly across
-	// shards.
-	Shards int
-	// MinReplicas / MaxReplicas bound replica autoscaling. MaxReplicas 0
-	// (the default) disables the autoscaler: every replica slot takes
-	// traffic, exactly the fixed-replica behaviour of earlier versions.
-	// With MaxReplicas > 0 the generation is pre-allocated MaxReplicas
-	// slots (they share the Inference, so slots are cheap), traffic
-	// starts on MinReplicas of them (default 1), and the autoscaler
-	// widens or narrows the window from queue depth and latency.
-	MinReplicas int
-	MaxReplicas int
-	// AutoscaleInterval is the autoscaler's evaluation cadence; default
-	// 500ms.
-	AutoscaleInterval time.Duration
-	// AutoscaleCooldown is the minimum spacing between scale events;
-	// default 2s.
-	AutoscaleCooldown time.Duration
-	// AutoscaleP99 scales up when the interval-local classify p99
-	// crosses it; default 0 (scale on queue depth only).
-	AutoscaleP99 time.Duration
 	// MaxRetries is how many additional replicas a request is retried on
 	// after a replica fault (panic, deadline overrun) before falling to
 	// the degradation ladder; default 2, negative disables retries.
@@ -211,20 +179,6 @@ func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 4
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.MaxReplicas > 0 {
-		if c.MinReplicas <= 0 {
-			c.MinReplicas = 1
-		}
-		if c.MaxReplicas < c.MinReplicas {
-			c.MaxReplicas = c.MinReplicas
-		}
-	} else {
-		c.MinReplicas = 0
-		c.MaxReplicas = 0
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 2
 	}
@@ -263,31 +217,24 @@ type Server struct {
 	hs     *http.Server
 	traces *trace.Ring // slow-request retention, nil when disabled
 
-	// reg holds the served models (name → generation chain); shards are
-	// the independent admission domains requests consistent-hash over;
-	// ring assigns request hashes to shards; scaler is the replica
-	// autoscaler (nil when MaxReplicas is 0).
-	reg    *registry
-	shards []*shard
-	ring   *hashRing
-	scaler *autoscaler
+	// reg holds the served models (name → generation chain); cache holds
+	// repeat submissions (nil when caching is disabled); bat is the
+	// bounded admission queue and its dispatcher.
+	reg   *registry
+	cache *lruCache
+	bat   *batcher
 
 	ready    atomic.Bool
 	draining atomic.Bool
 }
 
 // New builds a server around a single Inference (fanned over
-// cfg.Replicas breaker domains — or cfg.MaxReplicas slots when
-// autoscaling is on) and starts its dispatchers. The server is not
-// ready until Warmup succeeds; use Handler for in-process tests or
+// cfg.Replicas breaker domains) and starts its dispatcher. The server is
+// not ready until Warmup succeeds; use Handler for in-process tests or
 // ListenAndServe for the full lifecycle.
 func New(inf Inference, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	n := cfg.Replicas
-	if cfg.MaxReplicas > n {
-		n = cfg.MaxReplicas
-	}
-	return NewWithSnapshot(snapshotOf(inf, n), cfg)
+	return NewWithSnapshot(snapshotOf(inf, cfg.Replicas), cfg)
 }
 
 // NewWithSnapshot is New for callers that already hold a multi-replica
@@ -318,23 +265,10 @@ func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 	if cfg.TraceRing > 0 {
 		s.traces = trace.NewRing(cfg.TraceRing)
 	}
-	s.shards = newShards(cfg.Shards, cfg, s.execute)
-	members := make([]string, len(s.shards))
-	for i := range members {
-		members[i] = "shard-" + strconv.Itoa(i)
-	}
-	s.ring = newHashRing(members, 0)
+	s.cache = newLRUCache(cfg.CacheSize)
+	s.bat = newBatcher(cfg.MaxBatch, cfg.BatchWindow, cfg.MaxQueue, cfg.Workers, s.execute)
 	for _, spec := range specs {
 		s.install(reg.byName[spec.Name], spec.Snapshot)
-	}
-	if cfg.MaxReplicas > 0 {
-		s.scaler = newAutoscaler(autoscalerConfig{
-			Min:      cfg.MinReplicas,
-			Max:      cfg.MaxReplicas,
-			Interval: cfg.AutoscaleInterval,
-			Cooldown: cfg.AutoscaleCooldown,
-			UpP99:    cfg.AutoscaleP99,
-		}, reg, s.shards, cfg.MaxQueue)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/v1/classify", instrument("classify", http.HandlerFunc(s.handleClassify)))
@@ -358,12 +292,7 @@ func NewMulti(specs []ModelSpec, cfg Config) (*Server, error) {
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	for _, sh := range s.shards {
-		sh.bat.start()
-	}
-	if s.scaler != nil {
-		s.scaler.start()
-	}
+	s.bat.start()
 	return s, nil
 }
 
@@ -377,20 +306,12 @@ func (s *Server) defaultModel() *model { return s.reg.byName[s.reg.def] }
 // initial model, +1 per successful hot swap).
 func (s *Server) Generation() uint64 { return s.defaultModel().gen.Load().id }
 
-// shardFor routes a fingerprint-aware request hash to its shard.
-func (s *Server) shardFor(h uint64) *shard { return s.shards[s.ring.lookup(h)] }
-
 // install makes snap m's live generation and starts draining the old
 // one: in-flight requests pinned to it finish against its replicas, and
 // once the last of them completes the generation is declared drained.
 func (s *Server) install(m *model, snap Snapshot) *generation {
 	id := m.genSeq.Add(1)
-	active := int(m.desiredActive.Load())
-	if active == 0 && s.cfg.MaxReplicas > 0 {
-		// First install under autoscaling: traffic starts on the floor.
-		active = s.cfg.MinReplicas
-	}
-	gen := newGeneration(id, m.name, snap, s.cfg.breakerCfg(), active)
+	gen := newGeneration(id, m.name, snap, s.cfg.breakerCfg())
 	old := m.gen.Swap(gen)
 	if m.name == s.reg.def {
 		// The default model keeps the single-model metric families every
@@ -540,7 +461,7 @@ func (s *Server) ReloadModel(ctx context.Context, name string) (ReloadResult, er
 		return fail("load", errors.New("loader returned no replicas"))
 	}
 	start := time.Now()
-	candidate := newGeneration(0, m.name, snap, s.cfg.breakerCfg(), 0) // id 0: never serves
+	candidate := newGeneration(0, m.name, snap, s.cfg.breakerCfg()) // id 0: never serves
 	if err := warmGeneration(ctx, candidate); err != nil {
 		return fail("warmup", err)
 	}
@@ -597,8 +518,8 @@ func (s *Server) classify(r *batchRequest) batchResult {
 		preds, err := s.runReplica(rep, r)
 		if err == nil {
 			rep.br.success()
-			if r.shard != nil && r.shard.cache != nil && r.key != "" {
-				r.shard.cache.put(r.key, preds)
+			if s.cache != nil && r.key != "" {
+				s.cache.put(r.key, preds)
 			}
 			return batchResult{preds: preds, gen: gen.id}
 		}
@@ -692,8 +613,8 @@ func (s *Server) noteReplicaFault(r *batchRequest, err error) error {
 // scoped), then a node-view-only degraded prediction. It reports false
 // when neither rung can answer.
 func (s *Server) degradedResult(r *batchRequest, reason string) (batchResult, bool) {
-	if r.shard != nil && r.shard.cache != nil && r.key != "" {
-		if preds, ok := r.shard.cache.get(r.key); ok {
+	if s.cache != nil && r.key != "" {
+		if preds, ok := s.cache.get(r.key); ok {
 			obs.GetCounter("mvpar_http_degraded_responses_total").Inc()
 			obs.Warn("serve.degraded", "program", r.name, "rung", "cache", "reason", reason)
 			return batchResult{
@@ -801,11 +722,6 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 // 503.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.scaler != nil {
-		// Stop the autoscaler first: resizing the replica window during a
-		// drain serves nobody.
-		s.scaler.halt()
-	}
 	if g := s.cfg.DrainGrace; g > 0 {
 		t := time.NewTimer(g)
 		select {
@@ -815,12 +731,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	herr := s.hs.Shutdown(ctx)
-	var berr error
-	for _, sh := range s.shards {
-		if err := sh.bat.drain(ctx); err != nil && berr == nil {
-			berr = err
-		}
-	}
+	berr := s.bat.drain(ctx)
 	if herr != nil {
 		return herr
 	}

@@ -240,13 +240,27 @@ func TestServerQueueOverflowSheds429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Third request: queue full, must shed synchronously with 429.
-	code, _, errResp := postClassify(t, ts.URL, "r3", stubSource)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("overflow request = %d (%+v), want 429", code, errResp)
+	// Third request: queue full, must shed synchronously with 429, a
+	// retry hint and the configured queue bound in its reasons.
+	body, _ := json.Marshal(ClassifyRequest{Name: "r3", Source: stubSource})
+	resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errResp.Error == "" {
-		t.Fatal("429 carried no error body")
+	var errResp ErrorResponse
+	derr := json.NewDecoder(resp.Body).Decode(&errResp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("overflow request = %d (%+v), want 429", resp.StatusCode, errResp)
+	}
+	if derr != nil || errResp.Error == "" {
+		t.Fatalf("429 carried no error body (decode: %v)", derr)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("429 Retry-After = %q, want \"1\"", got)
+	}
+	if len(errResp.Reasons) == 0 || !strings.Contains(errResp.Reasons[0], "holds 1 requests") {
+		t.Fatalf("429 reasons = %q, want the configured MaxQueue (1)", errResp.Reasons)
 	}
 
 	// Release the pipeline: the two admitted requests must both succeed.
@@ -395,7 +409,7 @@ func TestBatcherCoalesces(t *testing.T) {
 	var mu sync.Mutex
 	var seen []string
 	release := make(chan struct{})
-	b := newBatcher(4, 50*time.Millisecond, 16, 4, "", func(r *batchRequest) {
+	b := newBatcher(4, 50*time.Millisecond, 16, 4, func(r *batchRequest) {
 		<-release
 		mu.Lock()
 		seen = append(seen, r.name)
