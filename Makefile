@@ -1,8 +1,9 @@
 # Build/verify entry points. `make test` is the tier-1 verify path:
 # vet + build + full test suite, plus the concurrent packages under the
-# race detector: obs (logger/registry/span state) and the worker-pool
+# race detector: obs (logger/registry/span state), the worker-pool
 # paths introduced by the parallel engine (pool, tensor's pooled MatMul,
-# gnn's data-parallel trainer, dataset's parallel Build).
+# gnn's data-parallel trainer, dataset's parallel Build), core's
+# classifier (stage spans recorded from replica goroutines) and serve.
 GO ?= go
 
 .PHONY: all build lint test test-race bench benchcmp benchgate fuzz loadsmoke verify
@@ -47,7 +48,7 @@ lint:
 
 test: build
 	$(GO) test ./...
-	$(GO) test -race ./internal/obs/... ./internal/pool/... ./internal/tensor/... ./internal/gnn/... ./internal/dataset/... ./internal/serve/...
+	$(GO) test -race ./internal/obs/... ./internal/pool/... ./internal/tensor/... ./internal/gnn/... ./internal/dataset/... ./internal/core/... ./internal/serve/...
 
 test-race:
 	$(GO) test -race ./...

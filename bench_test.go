@@ -642,12 +642,12 @@ func BenchmarkRobustnessKFold(b *testing.B) {
 
 // BenchmarkClassifyTracingDisabled measures the serving-path
 // classification — Classifier.ClassifyContext, the exact call the
-// inference server's batch executor makes — on an untraced context. The
-// request-tracing layer (internal/obs/trace) promises that every span
-// call is a free no-op when no trace rides the context, so this
-// benchmark's allocs/op is the tracing-disabled baseline: the benchgate
-// holds it to zero growth, catching any change that makes the disabled
-// path allocate. Serial encode (Parallelism 1) keeps the count exact.
+// inference server's batch executor makes — on an untraced context. Its
+// stage spans (obs.StartSpan) record their histograms but allocate
+// nothing when no trace rides the context, so this benchmark's
+// allocs/op is the tracing-disabled baseline: the benchgate holds it to
+// zero growth, catching any change that makes the disabled path
+// allocate. Serial encode (Parallelism 1) keeps the count exact.
 func BenchmarkClassifyTracingDisabled(b *testing.B) {
 	b.ReportAllocs()
 	all := bench.Corpus()

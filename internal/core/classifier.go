@@ -12,10 +12,8 @@ import (
 	"mvpar/internal/bench"
 	"mvpar/internal/dataset"
 	"mvpar/internal/gnn"
-	"mvpar/internal/minic"
 	"mvpar/internal/nn"
 	"mvpar/internal/obs"
-	"mvpar/internal/obs/trace"
 )
 
 // Classifier is a reusable inference handle over a trained pipeline. It
@@ -249,85 +247,73 @@ func (c *Classifier) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
+// tierForwards returns a precision tier's full and node-view forward
+// passes as method expressions, so a classify picks them once.
+func tierForwards(precision string) (full, nodeView func(*gnn.MVGNN, gnn.Sample) (int, float64)) {
+	switch precision {
+	case PrecisionFloat32:
+		return (*gnn.MVGNN).PredictWithProbaF32, (*gnn.MVGNN).PredictWithProbaF32NodeView
+	case PrecisionInt8:
+		return (*gnn.MVGNN).PredictWithProbaI8, (*gnn.MVGNN).PredictWithProbaI8NodeView
+	}
+	return (*gnn.MVGNN).PredictWithProba, (*gnn.MVGNN).PredictWithProbaNodeView
+}
+
 // classifyWith is the shared classify body: profile and encode the
 // program under cfg, then predict every loop on a borrowed replica.
+// Each stage is an obs span: it always feeds the stage histogram, and
+// when ctx carries a request trace it also nests in the trace as
+// classify → dataset.build → … and classify → gnn.forward, one forward
+// span per loop.
 func (c *Classifier) classifyWith(ctx context.Context, cfg dataset.Config, name, src string) ([]LoopPrediction, error) {
 	model := c.acquire()
 	defer c.release(model)
-	// Request tracing: when ctx carries a trace (the serving path started
-	// one), the per-loop stages below append spans to it; on an untraced
-	// context every trace call is free — no allocations, no branches past
-	// one context lookup — so the bit-identical batch path is unchanged.
-	ctx, cspan := trace.StartSpan(ctx, "classify")
-	if cspan != nil {
-		cspan.SetAttr("program", name)
-		defer cspan.End()
-	}
-	app := bench.App{Name: name, Suite: "user", Source: src}
-	bctx, bspan := trace.StartSpan(ctx, "dataset.build")
-	cfg.Ctx = bctx
-	d, _, err := dataset.Build([]bench.App{app}, cfg)
-	bspan.End()
+	ctx, cspan := obs.StartSpan(ctx, "classify")
+	cspan.SetAttr("program", name)
+	defer cspan.End()
+	cfg.Ctx = ctx
+	d, _, err := dataset.Build([]bench.App{{Name: name, Suite: "user", Source: src}}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	_, pspan := trace.StartSpan(ctx, "minic.parse")
-	ast, err := minic.Parse(name, src)
-	pspan.End()
-	if err != nil {
-		return nil, err
-	}
-	loopInfo := map[int]minic.LoopInfo{}
-	for _, l := range ast.Loops() {
-		loopInfo[l.ID] = l
-	}
+	precision := c.Precision()
+	forward, forwardNodeView := tierForwards(precision)
 	var preds []LoopPrediction
 	for _, rec := range d.Records {
-		sample := rec.Sample
+		_, fspan := obs.StartSpan(ctx, "gnn.forward")
+		fspan.SetAttrInt("loop", int64(rec.Meta.LoopID))
+		fspan.SetAttr("precision", precision)
 		var pred int
 		var proba float64
 		if len(rec.Degraded) > 0 {
-			switch c.precision {
-			case PrecisionFloat32:
-				pred, proba = model.PredictWithProbaF32NodeViewContext(ctx, sample)
-			case PrecisionInt8:
-				pred, proba = model.PredictWithProbaI8NodeViewContext(ctx, sample)
-			default:
-				pred, proba = model.PredictWithProbaNodeViewContext(ctx, sample)
-			}
-			obs.GetCounter("mvpar_degraded_predictions_total").Inc()
-			obs.Warn("classify.degraded", "program", name, "loop", rec.Meta.LoopID,
-				"reasons", fmt.Sprint(rec.Degraded))
+			fspan.SetAttr("view", "node")
+			pred, proba = forwardNodeView(model, rec.Sample)
 		} else {
-			switch c.precision {
-			case PrecisionFloat32:
-				pred, proba = model.PredictWithProbaF32Context(ctx, sample)
-			case PrecisionInt8:
-				pred, proba = model.PredictWithProbaI8Context(ctx, sample)
-			default:
-				pred, proba = model.PredictWithProbaContext(ctx, sample)
-			}
+			pred, proba = forward(model, rec.Sample)
 		}
+		fspan.End()
 		lp := LoopPrediction{
 			LoopID:   rec.Meta.LoopID,
+			Func:     rec.Func,
+			Line:     rec.Line,
 			Parallel: pred == 1,
 			Proba:    proba,
 			Oracle:   rec.Verdict.Parallelizable,
 			Reasons:  rec.Verdict.Reasons,
 		}
 		if len(rec.Degraded) > 0 {
+			obs.GetCounter("mvpar_degraded_predictions_total").Inc()
+			obs.Warn("classify.degraded", "program", name, "loop", rec.Meta.LoopID,
+				"reasons", fmt.Sprint(rec.Degraded))
 			lp.Degraded = true
 			lp.Reasons = append(append([]string(nil), lp.Reasons...), rec.Degraded...)
 			lp.Reasons = append(lp.Reasons, "prediction from node view only")
 		}
 		// A record can carry a loop ID absent from the parsed source (e.g.
 		// if lowering and parsing ever disagree about loop identity); a
-		// silent zero-value lookup would fabricate empty provenance, so
-		// annotate the prediction and warn instead.
-		if info, ok := loopInfo[rec.Meta.LoopID]; ok {
-			lp.Func = info.Func
-			lp.Line = info.Line
-		} else {
+		// silent zero-value provenance would look real, so annotate the
+		// prediction and warn instead.
+		if rec.Func == "" {
 			lp.Func = "(unknown)"
 			lp.Reasons = append(lp.Reasons, fmt.Sprintf("no source loop info for loop %d", rec.Meta.LoopID))
 			obs.Warn("classify.missing_loop_info", "program", name, "loop", rec.Meta.LoopID)

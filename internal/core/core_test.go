@@ -10,6 +10,7 @@ import (
 	"mvpar/internal/dataset"
 	"mvpar/internal/gnn"
 	"mvpar/internal/inst2vec"
+	"mvpar/internal/minic"
 	"mvpar/internal/walks"
 )
 
@@ -74,6 +75,50 @@ void main() {
 		if p.Func != "main" || p.Line == 0 {
 			t.Fatalf("provenance missing: %+v", p)
 		}
+	}
+
+	// Provenance comes from dataset.Build's single parse: every loop,
+	// including one in a second function and a nested one, must carry
+	// the function and line the parser reports for it.
+	const multi = `
+float x[8]; float y[8]; float m[4][4];
+void scale() {
+    for (int i = 0; i < 8; i++) { y[i] = x[i] * 3.0; }
+}
+void main() {
+    scale();
+    for (int i = 0; i < 4; i++) {
+        for (int j = 0; j < 4; j++) { m[i][j] = i + j; }
+    }
+}
+`
+	ast, err := minic.Parse("multi", multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loops := ast.Loops()
+	preds, err = pl.ClassifySource("multi", multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(preds) != len(loops) {
+		t.Fatalf("predictions = %d, parsed loops = %d", len(preds), len(loops))
+	}
+	funcs := map[string]bool{}
+	for _, p := range preds {
+		var want *minic.LoopInfo
+		for i := range loops {
+			if loops[i].ID == p.LoopID {
+				want = &loops[i]
+			}
+		}
+		if want == nil || p.Func != want.Func || p.Line != want.Line {
+			t.Fatalf("loop %d provenance = %s:%d, parser says %+v", p.LoopID, p.Func, p.Line, want)
+		}
+		funcs[p.Func] = true
+	}
+	if !funcs["scale"] || !funcs["main"] {
+		t.Fatalf("provenance functions = %v, want scale and main", funcs)
 	}
 }
 

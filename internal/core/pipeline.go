@@ -99,7 +99,8 @@ func (p *Pipeline) TrainOn(apps []bench.App) (*TrainReport, error) {
 // instead of after the current program finishes.
 func (p *Pipeline) TrainOnContext(ctx context.Context, apps []bench.App) (*TrainReport, error) {
 	before := obs.StageTimings()
-	defer obs.Start("core.train_on").End()
+	ctx, sp := obs.StartSpan(ctx, "core.train_on")
+	defer sp.End()
 	dataCfg := p.Opts.Data
 	if dataCfg.Ctx == nil {
 		dataCfg.Ctx = ctx

@@ -6,6 +6,7 @@
 package cu
 
 import (
+	"context"
 	"sort"
 
 	"mvpar/internal/ir"
@@ -51,7 +52,8 @@ type Set struct {
 
 // Build partitions prog into CUs.
 func Build(prog *ir.Program) *Set {
-	defer obs.Start("cu.build").End()
+	_, sp := obs.StartSpan(context.TODO(), "cu.build")
+	defer sp.End()
 	s := &Set{
 		ByStmt:    map[int]*CU{},
 		LoopStmts: map[int][]int{},

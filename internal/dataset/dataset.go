@@ -28,7 +28,6 @@ import (
 	"mvpar/internal/ir"
 	"mvpar/internal/minic"
 	"mvpar/internal/obs"
-	"mvpar/internal/obs/trace"
 	"mvpar/internal/peg"
 	"mvpar/internal/pool"
 	"mvpar/internal/tensor"
@@ -48,6 +47,10 @@ type Record struct {
 	// oracle without annotation noise.
 	Pattern int
 	Verdict deps.Verdict
+	// Func and Line locate the loop in the program's source. Func is
+	// empty when the parsed source has no loop with this ID.
+	Func string
+	Line int
 
 	Sample gnn.Sample
 	Static features.Static
@@ -187,14 +190,9 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 	}
 	// cfg.MaxSteps = 0 flows into interp.Limits, which owns the default.
 
-	defer obs.Start("dataset.build").End()
+	ctx, buildSpan := obs.StartSpan(cfg.Ctx, "dataset.build")
+	defer buildSpan.End()
 	report := &BuildReport{Programs: len(apps), Quarantine: &faults.Quarantine{}}
-	type profiled struct {
-		app    bench.App
-		base   *ir.Program
-		res    *deps.Result
-		static tools.Results
-	}
 	// Profile stage: each program's parse/lower/profile is an independent
 	// job. Lenient-mode failures travel back inside the job's result so the
 	// fan-out keeps going; only strict failures and cancellation become
@@ -206,13 +204,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		p   *profiled
 		err *faults.StageError
 	}
-	// Stage spans are recorded twice when a request trace rides cfg.Ctx:
-	// once into the process-global obs aggregates (every build), and once
-	// as request-scoped trace spans (serving-path builds only; free
-	// no-ops otherwise). The trace spans give one slow request its
-	// profile/encode breakdown without touching the global registry.
-	_, tProfile := trace.StartSpan(cfg.Ctx, "dataset.profile")
-	profileSpan := obs.Start("dataset.profile")
+	pctx, profileSpan := obs.StartSpan(ctx, "dataset.profile")
 	pcfg := pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}
 	outs, perr := pool.Map(pcfg, len(apps), func(i int) (profileOut, error) {
 		app := apps[i]
@@ -233,7 +225,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		}
 		if err == nil {
 			err = faults.Stage(app.Name, faults.StageProfile, func() (e error) {
-				res, _, e = deps.Analyze(base, "main", interp.Limits{MaxSteps: cfg.MaxSteps, Ctx: cfg.Ctx})
+				res, _, e = deps.Analyze(base, "main", interp.Limits{MaxSteps: cfg.MaxSteps, Ctx: pctx})
 				return e
 			})
 		}
@@ -243,10 +235,13 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 			}
 			return profileOut{err: err.(*faults.StageError)}, nil
 		}
-		return profileOut{p: &profiled{app: app, base: base, res: res, static: tools.AnalyzeStatic(src)}}, nil
+		loops := map[int]minic.LoopInfo{}
+		for _, l := range src.Loops() {
+			loops[l.ID] = l
+		}
+		return profileOut{p: &profiled{app: app, base: base, res: res, static: tools.AnalyzeStatic(src), loops: loops}}, nil
 	})
 	profileSpan.End()
-	tProfile.End()
 	if perr != nil {
 		return nil, report, fmt.Errorf("dataset: %w", perr)
 	}
@@ -267,7 +262,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 
 	emb := cfg.Embedding
 	if emb == nil {
-		embedSpan := obs.Start("dataset.embed")
+		_, embedSpan := obs.StartSpan(ctx, "dataset.embed")
 		obs.GetCounter("mvpar_inst2vec_vocab_builds_total").Inc()
 		emb = inst2vec.Train(irProgs, cfg.EmbedCfg)
 		embedSpan.End()
@@ -298,8 +293,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		err  *faults.StageError
 	}
 	nv := cfg.Variants
-	_, tEncode := trace.StartSpan(cfg.Ctx, "dataset.encode")
-	encodeSpan := obs.Start("dataset.encode")
+	_, encodeSpan := obs.StartSpan(ctx, "dataset.encode")
 	eouts, eerr := pool.Map(pool.Config{Workers: cfg.Parallelism, Ctx: cfg.Ctx}, len(progs)*nv, func(j int) (encodeOut, error) {
 		p := progs[j/nv]
 		v := j % nv
@@ -311,7 +305,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 			if v == 0 && EncodeFaultHook != nil {
 				EncodeFaultHook(p.app.Name)
 			}
-			recs, degs = encodeVariant(p.app, p.base, p.res, p.static, emb, space, cfg, v)
+			recs, degs = encodeVariant(p, emb, space, cfg, v)
 			return nil
 		})
 		if err != nil {
@@ -323,7 +317,6 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		return encodeOut{recs: recs, degs: degs}, nil
 	})
 	encodeSpan.End()
-	tEncode.End()
 	if eerr != nil {
 		return nil, report, fmt.Errorf("dataset: %w", eerr)
 	}
@@ -357,7 +350,7 @@ func Build(apps []bench.App, cfg Config) (*Dataset, *BuildReport, error) {
 		return nil, report, fmt.Errorf("dataset: all %d programs quarantined:\n%s",
 			len(apps), report.Quarantine)
 	}
-	stdSpan := obs.Start("dataset.standardize")
+	_, stdSpan := obs.StartSpan(ctx, "dataset.standardize")
 	standardizeNodeFeatures(d.Records)
 	stdSpan.End()
 	recordBuildStats(len(apps), d.Records)
@@ -377,6 +370,17 @@ type degradation struct {
 	msg     string
 }
 
+// profiled is one program after the profile stage: its lowered IR, its
+// dependence profile, the static tools' verdicts, and each loop's source
+// position from the stage's single parse, keyed by loop ID.
+type profiled struct {
+	app    bench.App
+	base   *ir.Program
+	res    *deps.Result
+	static tools.Results
+	loops  map[int]minic.LoopInfo
+}
+
 // encodeVariant encodes every loop of one IR variant of one profiled
 // program and returns the records plus any degradation events. It is a
 // pure function of its inputs (walk sampling is seeded per record), which
@@ -384,12 +388,12 @@ type degradation struct {
 // bit-identical dataset. It runs inside the caller's recovery boundary: a
 // panic anywhere in the graph/tensor/nn encoding machinery quarantines
 // only this program.
-func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
-	static tools.Results, emb *inst2vec.Embedding, space *walks.Space,
+func encodeVariant(p profiled, emb *inst2vec.Embedding, space *walks.Space,
 	cfg Config, v int) ([]*Record, []degradation) {
+	app, res, static := p.app, p.res, p.static
 	var recs []*Record
 	var degs []degradation
-	variant := ir.Variant(base, v)
+	variant := ir.Variant(p.base, v)
 	cus := cu.Build(variant)
 	pg := peg.Build(variant, cus, res)
 	for _, loopID := range variant.LoopIDs() {
@@ -423,6 +427,8 @@ func encodeVariant(app bench.App, base *ir.Program, res *deps.Result,
 			Label:   label,
 			Pattern: pattern,
 			Verdict: verdict,
+			Func:    p.loops[loopID].Func,
+			Line:    p.loops[loopID].Line,
 			Static:  stat,
 			Tokens:  regionTokens(cus, loopID, cfg.MaxTokens),
 			Tools: map[string]int{

@@ -442,7 +442,9 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, entry string, limits 
 	if limits.Ctx == nil && ctx != nil && ctx != context.Background() {
 		limits.Ctx = ctx
 	}
-	defer obs.Start("deps.analyze").End()
+	var sp obs.Span
+	limits.Ctx, sp = obs.StartSpan(limits.Ctx, "deps.analyze")
+	defer sp.End()
 	an := NewAnalyzer()
 	mt := &interp.MetricsTracer{}
 	it := interp.New(prog, interp.MultiTracer{an, mt}, limits)

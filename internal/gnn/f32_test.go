@@ -97,8 +97,8 @@ func TestPredictWithProbaF32SteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("float32 predict allocates %v/op in steady state, want 0", n)
 	}
 	ctx := context.Background()
-	m.PredictWithProbaF32Context(ctx, s)
-	if n := testing.AllocsPerRun(20, func() { m.PredictWithProbaF32Context(ctx, s) }); n != 0 {
+	forwardInSpan(ctx, s, m.PredictWithProbaF32)
+	if n := testing.AllocsPerRun(20, func() { forwardInSpan(ctx, s, m.PredictWithProbaF32) }); n != 0 {
 		t.Fatalf("traced float32 predict allocates %v/op on untraced context, want 0", n)
 	}
 }

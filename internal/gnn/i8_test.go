@@ -134,8 +134,8 @@ func TestPredictWithProbaI8SteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("int8 predict allocates %v/op in steady state, want 0", n)
 	}
 	ctx := context.Background()
-	m.PredictWithProbaI8Context(ctx, s)
-	if n := testing.AllocsPerRun(20, func() { m.PredictWithProbaI8Context(ctx, s) }); n != 0 {
+	forwardInSpan(ctx, s, m.PredictWithProbaI8)
+	if n := testing.AllocsPerRun(20, func() { forwardInSpan(ctx, s, m.PredictWithProbaI8) }); n != 0 {
 		t.Fatalf("traced int8 predict allocates %v/op on untraced context, want 0", n)
 	}
 }

@@ -1,10 +1,7 @@
 package gnn
 
 import (
-	"context"
-
 	"mvpar/internal/nn"
-	"mvpar/internal/obs/trace"
 	"mvpar/internal/tensor"
 )
 
@@ -29,32 +26,6 @@ func (m *MVGNN) PredictWithProba(s Sample) (int, float64) {
 // no usable structural view (the paper's Static-GNN geometry).
 func (m *MVGNN) PredictWithProbaNodeView(s Sample) (int, float64) {
 	return classFrom(m.NodeView.Forward(s.Node))
-}
-
-// PredictWithProbaContext is PredictWithProba under a request trace: if
-// ctx carries one, the forward pass is recorded as a "gnn.forward" span
-// annotated with the sample's loop ID. On an untraced context the span
-// calls are free (no allocations, one context lookup), so the
-// bit-identical batch path pays nothing.
-func (m *MVGNN) PredictWithProbaContext(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		defer sp.End()
-	}
-	return m.PredictWithProba(s)
-}
-
-// PredictWithProbaNodeViewContext is the traced degraded-path variant;
-// the span carries view=node so a trace shows which head answered.
-func (m *MVGNN) PredictWithProbaNodeViewContext(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("view", "node")
-		defer sp.End()
-	}
-	return m.PredictWithProbaNodeView(s)
 }
 
 // classFrom reduces one logits row to (argmax class, P(class=1)).
@@ -93,31 +64,6 @@ func (m *MVGNN) PredictWithProbaF32NodeView(s Sample) (int, float64) {
 	return m.quantized().PredictWithProbaNodeView(s)
 }
 
-// PredictWithProbaF32Context is the traced float32 variant; the span
-// carries precision=float32 so traces show which engine answered.
-func (m *MVGNN) PredictWithProbaF32Context(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("precision", "float32")
-		defer sp.End()
-	}
-	return m.PredictWithProbaF32(s)
-}
-
-// PredictWithProbaF32NodeViewContext is the traced float32 degraded-path
-// variant.
-func (m *MVGNN) PredictWithProbaF32NodeViewContext(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("view", "node")
-		sp.SetAttr("precision", "float32")
-		defer sp.End()
-	}
-	return m.PredictWithProbaF32NodeView(s)
-}
-
 // quantizedI8 returns the lazily built int8 inference replica, with the
 // same freeze-before-first-use contract as quantized().
 func (m *MVGNN) quantizedI8() *MVGNNI8 {
@@ -146,29 +92,4 @@ func (m *MVGNN) PredictWithProbaI8(s Sample) (int, float64) {
 // mirroring PredictWithProbaNodeView.
 func (m *MVGNN) PredictWithProbaI8NodeView(s Sample) (int, float64) {
 	return m.quantizedI8().PredictWithProbaNodeView(s)
-}
-
-// PredictWithProbaI8Context is the traced int8 variant; the span carries
-// precision=int8 so traces show which engine answered.
-func (m *MVGNN) PredictWithProbaI8Context(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("precision", "int8")
-		defer sp.End()
-	}
-	return m.PredictWithProbaI8(s)
-}
-
-// PredictWithProbaI8NodeViewContext is the traced int8 degraded-path
-// variant.
-func (m *MVGNN) PredictWithProbaI8NodeViewContext(ctx context.Context, s Sample) (int, float64) {
-	_, sp := trace.StartSpan(ctx, "gnn.forward")
-	if sp != nil {
-		sp.SetAttrInt("loop", int64(s.Meta.LoopID))
-		sp.SetAttr("view", "node")
-		sp.SetAttr("precision", "int8")
-		defer sp.End()
-	}
-	return m.PredictWithProbaI8NodeView(s)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"mvpar/internal/obs"
 )
 
 // TestPredictWithProbaMatchesSeparateCalls pins the single-forward
@@ -33,18 +35,27 @@ func TestPredictWithProbaMatchesSeparateCalls(t *testing.T) {
 	}
 }
 
+// forwardInSpan runs one forward the way core's classify does: inside an
+// obs "gnn.forward" stage span opened on ctx.
+func forwardInSpan(ctx context.Context, s Sample, forward func(Sample) (int, float64)) {
+	_, sp := obs.StartSpan(ctx, "gnn.forward")
+	sp.SetAttrInt("loop", int64(s.Meta.LoopID))
+	forward(s)
+	sp.End()
+}
+
 // TestTracingDisabledAddsNoAllocs is the zero-overhead contract at the
-// model layer: on an untraced context the traced prediction entry points
-// must allocate exactly as much as the untraced ones — the span calls
-// must be free.
+// model layer: on an untraced context, a forward wrapped in its stage
+// span must allocate exactly as much as the bare forward — the span
+// calls must be free.
 func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	s := makeSyntheticSamples(1, rng, 4)[0]
 	m := NewMVGNN(4, 4, 5)
 	ctx := context.Background()
-	m.PredictWithProbaContext(ctx, s) // warm activation caches
+	forwardInSpan(ctx, s, m.PredictWithProba) // warm activation caches
 	base := testing.AllocsPerRun(50, func() { m.PredictWithProba(s) })
-	traced := testing.AllocsPerRun(50, func() { m.PredictWithProbaContext(ctx, s) })
+	traced := testing.AllocsPerRun(50, func() { forwardInSpan(ctx, s, m.PredictWithProba) })
 	if traced > base {
 		t.Fatalf("untraced-context prediction allocates %v/op, plain %v/op — tracing must be free when disabled", traced, base)
 	}

@@ -202,7 +202,7 @@ func (it *Interp) Run(entry string) (Stats, error) {
 			it.mem[base] = g.InitVal
 		}
 	}
-	sp := obs.Start("interp.run")
+	_, sp := obs.StartSpan(it.limits.Ctx, "interp.run")
 	_, err := it.call(fn, nil, nil)
 	sp.End()
 	recordRunStats(it.stats)

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"context"
 	"fmt"
 
 	"mvpar/internal/minic"
@@ -11,7 +12,8 @@ import (
 // be constant expressions. The boolean operators evaluate both operands
 // (MiniC has no side effects in conditions, so eager evaluation is sound).
 func Lower(p *minic.Program) (*Program, error) {
-	defer obs.Start("ir.lower").End()
+	_, sp := obs.StartSpan(context.TODO(), "ir.lower")
+	defer sp.End()
 	if err := minic.Check(p); err != nil {
 		return nil, err
 	}

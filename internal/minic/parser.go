@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -35,7 +36,8 @@ func (p *Parser) leave() { p.depth-- }
 
 // Parse lexes and parses src into a Program named name.
 func Parse(name, src string) (*Program, error) {
-	defer obs.Start("minic.parse").End()
+	_, sp := obs.StartSpan(context.TODO(), "minic.parse")
+	defer sp.End()
 	toks, err := Lex(src)
 	if err != nil {
 		obs.GetCounter("mvpar_minic_parse_errors_total").Inc()

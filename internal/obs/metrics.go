@@ -185,8 +185,10 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    map[string]*spanStat
-	infos    map[string][]LabelPair
+	// stages maps a span's stage name to its mvpar_span_*_seconds
+	// histogram (also held in hists); see StartSpan.
+	stages map[string]*Histogram
+	infos  map[string][]LabelPair
 }
 
 // NewRegistry creates an empty registry.
@@ -195,7 +197,7 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		spans:    map[string]*spanStat{},
+		stages:   map[string]*Histogram{},
 		infos:    map[string][]LabelPair{},
 	}
 }
@@ -274,15 +276,14 @@ func (r *Registry) Reset() {
 	r.counters = map[string]*Counter{}
 	r.gauges = map[string]*Gauge{}
 	r.hists = map[string]*Histogram{}
-	r.spans = map[string]*spanStat{}
+	r.stages = map[string]*Histogram{}
 	r.infos = map[string][]LabelPair{}
 }
 
 // Dump writes every metric in a stable, sorted, expvar-style text form:
 // one "name value" line per counter and gauge, and count/sum/min/max
-// lines per histogram. Span aggregates appear as both histograms
-// (mvpar_span_<stage>_seconds_*) and the stage-timing lines emitted by
-// DumpTimings callers.
+// lines per histogram. Stage spans appear as their histograms,
+// mvpar_span_<stage>_seconds_*.
 func (r *Registry) Dump(w io.Writer) error {
 	r.mu.Lock()
 	var lines []string

@@ -1,7 +1,13 @@
 // Package obs is the pipeline-wide observability layer: a leveled
 // structured logger, a process-wide metrics registry (counters, gauges,
-// histograms) and lightweight timing spans that aggregate into per-stage
-// wall-time statistics. It depends only on the standard library.
+// histograms) and stage spans. It depends only on the standard library.
+//
+// StartSpan is the one instrumentation call of every pipeline stage
+// (parse, profile, encode, walks, forward, and the serving layer's
+// batcher and replica). A span always records the stage's wall time in
+// its histogram, and when the context carries a request trace (package
+// obs/trace) it also adds a span to that trace. Untraced spans allocate
+// nothing.
 //
 // Everything defaults to off/invisible: the logger is silent unless a
 // level is set (via SetLevel, the --log-level flags of the binaries, or

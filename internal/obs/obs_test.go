@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"context"
 	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mvpar/internal/obs/trace"
 )
 
 // resetLogger restores global logger state after a test.
@@ -122,7 +125,7 @@ func TestConcurrentSpans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Start("stage.par").End()
+				endSpan(r.StartSpan(context.Background(), "stage.par"))
 			}
 		}()
 	}
@@ -136,13 +139,13 @@ func TestConcurrentSpans(t *testing.T) {
 func TestSpanAggregation(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 3; i++ {
-		sp := r.Start("dataset.build")
+		_, sp := r.StartSpan(context.Background(), "dataset.build")
 		time.Sleep(time.Millisecond)
 		if d := sp.End(); d <= 0 {
 			t.Fatalf("span duration = %v", d)
 		}
 	}
-	r.Start("gnn.train").End()
+	endSpan(r.StartSpan(context.Background(), "gnn.train"))
 
 	totals := r.StageTimings()
 	if len(totals) != 2 {
@@ -165,9 +168,9 @@ func TestSpanAggregation(t *testing.T) {
 func TestTimingsSince(t *testing.T) {
 	defer Reset()
 	Reset()
-	Start("stage.a").End()
+	endSpan(StartSpan(context.Background(), "stage.a"))
 	before := StageTimings()
-	sp := Start("stage.b")
+	_, sp := StartSpan(context.Background(), "stage.b")
 	time.Sleep(time.Millisecond)
 	sp.End()
 	delta := TimingsSince(before)
@@ -176,6 +179,68 @@ func TestTimingsSince(t *testing.T) {
 	}
 	if delta["stage.b"] < time.Millisecond {
 		t.Errorf("stage.b delta = %v", delta["stage.b"])
+	}
+}
+
+// endSpan ends a span straight from StartSpan's results.
+func endSpan(_ context.Context, sp Span) { sp.End() }
+
+// TestStartSpanUntracedAllocsNothing: on a context without a trace, and
+// on a nil context, a stage span records its histogram and allocates
+// nothing once the stage is resolved.
+func TestStartSpanUntracedAllocsNothing(t *testing.T) {
+	r := NewRegistry()
+	for _, ctx := range []context.Context{context.Background(), nil} {
+		endSpan(r.StartSpan(ctx, "stage.free"))
+		if n := testing.AllocsPerRun(100, func() {
+			sctx, sp := r.StartSpan(ctx, "stage.free")
+			sp.SetAttrInt("loop", 7)
+			sp.SetAttr("view", "node")
+			sp.End()
+			if sctx != ctx {
+				t.Fatal("untraced StartSpan replaced the context")
+			}
+		}); n != 0 {
+			t.Errorf("untraced StartSpan+End (ctx %v) allocates %v/op, want 0", ctx, n)
+		}
+	}
+	// Per context: one warm-up span, then AllocsPerRun's own warm-up run
+	// plus its 100 measured runs.
+	if count, _, _, _ := r.Histogram("mvpar_span_stage_free_seconds").Snapshot(); count != 2*102 {
+		t.Errorf("stage histogram count = %d, want %d", count, 2*102)
+	}
+}
+
+// TestStartSpanTraced: on a traced context one StartSpan feeds both
+// systems: the stage histogram and a trace span, whose children nest
+// under it through the returned context.
+func TestStartSpanTraced(t *testing.T) {
+	r := NewRegistry()
+	ctx, tr := trace.New(context.Background(), "handler")
+	bctx, build := r.StartSpan(ctx, "dataset.build")
+	build.SetAttrInt("loop", 3)
+	_, profile := r.StartSpan(bctx, "dataset.profile")
+	profile.End()
+	build.End()
+	tr.Finish()
+
+	rows := r.Timings()
+	if len(rows) != 2 || rows[0].Count != 1 || rows[1].Count != 1 {
+		t.Errorf("stage timings = %+v, want dataset.build and dataset.profile once each", rows)
+	}
+	spans := tr.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("trace has %d spans, want handler+build+profile: %+v", len(spans), spans)
+	}
+	root, b, p := spans[0], spans[1], spans[2]
+	if b.Name != "dataset.build" || b.Parent != root.Span || b.Unfinished {
+		t.Errorf("build span = %+v, want finished child of %d", b, root.Span)
+	}
+	if len(b.Attrs) != 1 || b.Attrs[0] != (trace.Attr{Key: "loop", Value: "3"}) {
+		t.Errorf("build attrs = %+v, want loop=3", b.Attrs)
+	}
+	if p.Name != "dataset.profile" || p.Parent != b.Span || p.Unfinished {
+		t.Errorf("profile span = %+v, want finished child of %d", p, b.Span)
 	}
 }
 
@@ -224,7 +289,7 @@ func TestWriteTimingTable(t *testing.T) {
 	if empty.Len() != 0 {
 		t.Errorf("empty registry printed a table: %q", empty.String())
 	}
-	Start("stage.x").End()
+	endSpan(StartSpan(context.Background(), "stage.x"))
 	var b strings.Builder
 	WriteTimingTable(&b)
 	out := b.String()

@@ -1,61 +1,83 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"time"
+
+	"mvpar/internal/obs/trace"
 )
 
-// spanStat aggregates every End of one stage name.
-type spanStat struct {
-	count int64
-	total time.Duration
-}
-
-// Span is one in-flight timing measurement, created by Start. End records
-// its wall time into the owning registry under the stage name.
+// Span is one in-flight stage measurement, created by StartSpan. End
+// records its wall time into the stage's histogram and, when the span was
+// started on a traced context, ends the matching request-trace span. The
+// zero Span is a no-op.
 type Span struct {
-	name  string
+	hist  *Histogram
 	start time.Time
-	reg   *Registry
+	tr    *trace.Span
 }
 
-// Start begins a span on the default registry. Typical use:
+// StartSpan begins a stage span on the default registry and returns the
+// context later stages should nest under. Typical use:
 //
-//	defer obs.Start("dataset.build").End()
-func Start(name string) Span { return defaultRegistry.Start(name) }
-
-// Start begins a span on r.
-func (r *Registry) Start(name string) Span {
-	return Span{name: name, start: time.Now(), reg: r}
+//	ctx, sp := obs.StartSpan(ctx, "dataset.build")
+//	defer sp.End()
+//
+// The stage's wall time always lands in mvpar_span_<stage>_seconds. When
+// ctx carries a request trace (see package trace), the span also opens a
+// child of the trace's active span, and the returned context makes it the
+// parent of the stages below. ctx may be nil for stages that have no
+// context to nest under. On an untraced context StartSpan and End
+// allocate nothing.
+func StartSpan(ctx context.Context, stage string) (context.Context, Span) {
+	return defaultRegistry.StartSpan(ctx, stage)
 }
 
-// End records the span's duration and returns it. Each stage aggregates
-// into a count/total pair (see StageTimings) and into the histogram
-// mvpar_span_<stage>_seconds.
+// StartSpan begins a stage span on r; see the package-level StartSpan.
+func (r *Registry) StartSpan(ctx context.Context, stage string) (context.Context, Span) {
+	ctx, tr := trace.StartSpan(ctx, stage)
+	return ctx, Span{hist: r.stage(stage), start: time.Now(), tr: tr}
+}
+
+// End records the span's duration and returns it.
 func (s Span) End() time.Duration {
-	if s.reg == nil {
+	if s.hist == nil {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.reg.recordSpan(s.name, d)
-	Debug("span.end", "stage", s.name, "dur", d)
+	s.hist.Observe(d.Seconds())
+	s.tr.End()
 	return d
 }
 
-func (r *Registry) recordSpan(name string, d time.Duration) {
+// SetAttr annotates the span's trace half with a key/value pair; a no-op
+// when the span is untraced.
+func (s Span) SetAttr(key, value string) { s.tr.SetAttr(key, value) }
+
+// SetAttrInt is SetAttr for an integer value; the value is formatted only
+// when the span is traced.
+func (s Span) SetAttrInt(key string, value int64) { s.tr.SetAttrInt(key, value) }
+
+// stage returns the histogram of a stage name, mvpar_span_<stage>_seconds,
+// resolving its metric name only on the stage's first span.
+func (r *Registry) stage(name string) *Histogram {
 	r.mu.Lock()
-	st := r.spans[name]
-	if st == nil {
-		st = &spanStat{}
-		r.spans[name] = st
+	defer r.mu.Unlock()
+	h := r.stages[name]
+	if h == nil {
+		metric := "mvpar_span_" + mangle(name) + "_seconds"
+		if h = r.hists[metric]; h == nil {
+			h = &Histogram{}
+			r.hists[metric] = h
+		}
+		r.stages[name] = h
 	}
-	st.count++
-	st.total += d
-	r.mu.Unlock()
-	r.Histogram("mvpar_span_" + mangle(name) + "_seconds").Observe(d.Seconds())
+	return h
 }
 
 // mangle turns a stage name into a metric-name segment.
@@ -74,11 +96,9 @@ func StageTimings() map[string]time.Duration { return defaultRegistry.StageTimin
 
 // StageTimings returns the cumulative wall time per stage name.
 func (r *Registry) StageTimings() map[string]time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]time.Duration, len(r.spans))
-	for name, st := range r.spans {
-		out[name] = st.total
+	out := map[string]time.Duration{}
+	for _, st := range r.Timings() {
+		out[st.Name] = st.Total
 	}
 	return out
 }
@@ -94,12 +114,19 @@ type StageTiming struct {
 // by descending total wall time.
 func Timings() []StageTiming { return defaultRegistry.Timings() }
 
-// Timings returns the per-stage summary sorted by descending total.
+// Timings returns the per-stage summary sorted by descending total. It
+// reads each stage's count and sum from its histogram; stages with no
+// finished span are omitted.
 func (r *Registry) Timings() []StageTiming {
 	r.mu.Lock()
-	out := make([]StageTiming, 0, len(r.spans))
-	for name, st := range r.spans {
-		out = append(out, StageTiming{Name: name, Count: st.count, Total: st.total})
+	out := make([]StageTiming, 0, len(r.stages))
+	for name, h := range r.stages {
+		count, sum, _, _ := h.Snapshot()
+		if count == 0 {
+			continue
+		}
+		total := time.Duration(math.Round(sum * float64(time.Second)))
+		out = append(out, StageTiming{Name: name, Count: count, Total: total})
 	}
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -134,10 +161,7 @@ func WriteTimingTable(w io.Writer) {
 	}
 	fmt.Fprintf(w, "%-28s %8s %14s %14s\n", "stage", "calls", "total", "mean")
 	for _, r := range rows {
-		mean := time.Duration(0)
-		if r.Count > 0 {
-			mean = r.Total / time.Duration(r.Count)
-		}
+		mean := r.Total / time.Duration(r.Count)
 		fmt.Fprintf(w, "%-28s %8d %14s %14s\n",
 			r.Name, r.Count, r.Total.Round(time.Microsecond), mean.Round(time.Microsecond))
 	}

@@ -6,12 +6,14 @@
 // ID, propagated through the pipeline on the context the request already
 // carries — handler → batcher → replica → dataset encode → GNN forward.
 //
-// The package is built around one invariant: when no trace rides the
-// context, every call is branch-cheap and allocation-free. StartSpan on
-// an untraced context is a single context.Value lookup returning a nil
-// *Span, and every *Span method is nil-safe, so the bit-identical batch
-// path pays nothing when tracing is off (guarded by
-// BenchmarkClassifyTracingDisabled and the benchgate).
+// Pipeline code does not call StartSpan directly: it opens stages with
+// obs.StartSpan, which records the stage histogram and builds on this
+// package's StartSpan for the trace half. The package keeps one
+// invariant: when no trace rides the context, every call is branch-cheap
+// and allocation-free. StartSpan on an untraced context is a single
+// context.Value lookup returning a nil *Span, and every *Span method is
+// nil-safe, so the bit-identical batch path pays nothing when tracing is
+// off (guarded by BenchmarkClassifyTracingDisabled and the benchgate).
 //
 // Finished traces export as JSONL (one span per line, WriteJSONL) or as
 // Chrome trace_event JSON (WriteChromeTrace) loadable in chrome://tracing
@@ -22,6 +24,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,7 +167,7 @@ func (s *Span) SetAttrInt(key string, value int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, fmt.Sprintf("%d", value))
+	s.SetAttr(key, strconv.FormatInt(value, 10))
 }
 
 // ID returns the trace's hex identifier (the wire/logs form).

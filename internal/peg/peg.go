@@ -7,6 +7,7 @@
 package peg
 
 import (
+	"context"
 	"fmt"
 
 	"mvpar/internal/cu"
@@ -122,7 +123,8 @@ type PEG struct {
 // Build constructs the full-program PEG from the CU partition and the
 // measured dependences.
 func Build(prog *ir.Program, cus *cu.Set, result *deps.Result) *PEG {
-	defer obs.Start("peg.build").End()
+	_, sp := obs.StartSpan(context.TODO(), "peg.build")
+	defer sp.End()
 	p := &PEG{
 		G:      graph.New(0),
 		ByStmt: map[int]int{},

@@ -8,7 +8,6 @@ import (
 
 	"mvpar/internal/core"
 	"mvpar/internal/obs"
-	"mvpar/internal/obs/trace"
 	"mvpar/internal/pool"
 )
 
@@ -36,10 +35,10 @@ type batchRequest struct {
 	// executor releases the registration when the result is delivered.
 	gen  *generation
 	done chan batchResult
-	// span is the request's "batcher" trace span (nil when untraced):
-	// opened at admission, ended when execution starts, so its duration
-	// is queue wait plus the coalesce window.
-	span *trace.Span
+	// span is the request's "batcher" stage span: opened at admission,
+	// ended when execution starts, so its duration is queue wait plus the
+	// coalesce window.
+	span obs.Span
 }
 
 // batchResult is the outcome delivered back to the waiting handler.

@@ -198,8 +198,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// Request tracing: in slow-capture mode (TraceSlow set) every request
 	// is traced so any of them can be retained when it crosses the
 	// threshold; otherwise only requests asking for a timings breakdown
-	// pay for a trace. Untraced requests see zero overhead — every span
-	// call downstream is a no-op on their context.
+	// pay for a trace. On untraced requests the spans downstream only
+	// record their stage histograms, with no allocation.
 	tctx := r.Context()
 	var tr *trace.Trace
 	if s.cfg.TraceSlow > 0 || req.Timings {
@@ -209,7 +209,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(tctx, s.cfg.RequestTimeout)
 	defer cancel()
-	bctx, bspan := trace.StartSpan(ctx, "batcher")
+	bctx, bspan := obs.StartSpan(ctx, "batcher")
 	breq := &batchRequest{
 		ctx:  bctx,
 		name: req.Name,

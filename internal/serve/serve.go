@@ -488,7 +488,7 @@ func (s *Server) ReloadModel(ctx context.Context, name string) (ReloadResult, er
 // releases the generation's in-flight registration.
 func (s *Server) execute(r *batchRequest) {
 	// Close the "batcher" span (queue wait + coalesce window) before the
-	// classification attempts begin. Nil-safe no-op on untraced requests.
+	// classification attempts begin.
 	r.span.End()
 	res := s.classify(r)
 	r.gen.inflight.Done()
@@ -555,9 +555,9 @@ func (s *Server) classify(r *batchRequest) batchResult {
 
 // runReplica runs one classification attempt on rep: chaos injection
 // (no-ops unless a chaos injector is armed), panic capture, and the
-// "replica" trace span.
+// "replica" stage span.
 func (s *Server) runReplica(rep *replica, r *batchRequest) ([]core.LoopPrediction, error) {
-	cctx, rspan := trace.StartSpan(r.ctx, "replica")
+	cctx, rspan := obs.StartSpan(r.ctx, "replica")
 	defer rspan.End()
 	var preds []core.LoopPrediction
 	err := faults.Capture(func() error {

@@ -8,6 +8,7 @@
 package walks
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -155,7 +156,8 @@ func (s *Space) NodeDistributionsBudget(g *graph.Directed, p Params, rng *rand.R
 }
 
 func (s *Space) nodeDistributions(g *graph.Directed, p Params, rng *rand.Rand, budgeted bool) (*tensor.Matrix, error) {
-	defer obs.Start("walks.sample").End()
+	_, sp := obs.StartSpan(context.TODO(), "walks.sample")
+	defer sp.End()
 	n := g.NumNodes()
 	out := tensor.New(n, s.NumTypes())
 	if p.Gamma <= 0 {
